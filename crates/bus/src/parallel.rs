@@ -7,7 +7,8 @@
 //! event model, FireSim's token-synchronised partitioning), this module
 //! partitions masters and slaves into per-domain shards, each advanced by
 //! a worker thread in fixed cycle *epochs*, with cross-domain bursts
-//! exchanged only at epoch barriers.
+//! exchanged only at epoch barriers. The workers live for one
+//! [`ParallelSim::run`], not one epoch.
 //!
 //! # Determinism argument
 //!
@@ -17,8 +18,9 @@
 //!
 //! 1. **Shards are disjoint.** Each shard owns its own [`BusSim`] (policy,
 //!    masters, fault plan, telemetry registry). Between two barriers a
-//!    worker touches exactly one shard, so advancing shards concurrently
-//!    is trivially equivalent to advancing them in any serial order.
+//!    worker touches only the shards it was handed, so advancing shards
+//!    concurrently is trivially equivalent to advancing them in any
+//!    serial order.
 //! 2. **Exchange is totally ordered.** At a barrier, every shard's egress
 //!    (bursts that completed `Ok` against an address outside the shard's
 //!    home window) is collected and sorted by `(cycle, domain, master,
@@ -27,9 +29,12 @@
 //!    the destination's bridge master in that order.
 //! 3. **Folding is ordered too.** Per-shard telemetry registries are
 //!    folded into the merged registry in domain order at each barrier
-//!    (see [`Telemetry::absorb_delta`]); `std::thread::scope`'s join
-//!    provides the happens-before edge that makes the shard's relaxed
-//!    atomic counters visible to the coordinator.
+//!    (see [`Telemetry::absorb_delta`]). A worker returns the shards it
+//!    advanced to the coordinator over a channel, and that hand-off (a
+//!    send the coordinator's receive waits for) is the happens-before
+//!    edge that makes the shards' relaxed atomic counters visible to the
+//!    coordinator. The same edge in the other direction publishes the
+//!    exchange's deliveries and the next epoch's target to the worker.
 //!
 //! Since epoch boundaries, exchange order and fold order are all functions
 //! of the simulation state alone, the *entire* run is a function of the
@@ -52,6 +57,7 @@ use crate::policy::AccessPolicy;
 use crate::report::SimReport;
 use crate::sim::BusSim;
 use siopmp::telemetry::{Counter, Telemetry, TelemetrySnapshot};
+use std::sync::mpsc;
 
 /// Default barrier spacing. Large enough to amortise barrier costs, small
 /// enough that cross-domain latency (traffic waits for the next barrier)
@@ -195,6 +201,17 @@ struct Shard {
     last_snap: TelemetrySnapshot,
 }
 
+/// Advances each shard of `group` to `target` cycles (or until drained).
+/// Shards are disjoint, so which thread advances which group never
+/// affects results, only wall clock.
+fn advance_group(group: &mut [Shard], target: u64) {
+    for shard in group {
+        while shard.sim.cycle() < target && !shard.sim.all_done() {
+            shard.sim.step();
+        }
+    }
+}
+
 /// The sharded parallel engine. See the [module docs](self) for the
 /// determinism argument.
 pub struct ParallelSim {
@@ -301,12 +318,66 @@ impl ParallelSim {
     /// merged report concatenates per-shard master reports in domain
     /// order (bridge masters, where created, appear after their domain's
     /// own masters); `cycles` is the maximum over shards.
+    ///
+    /// With more than one (clamped) thread, the run spawns its workers
+    /// once: the shards split into contiguous groups, the coordinator
+    /// advances the first group itself, and each worker owns one of the
+    /// others for the run. Every epoch the coordinator hands each worker
+    /// its group with the epoch's target and takes it back advanced, then
+    /// does the barrier work (fold, exchange, termination test) alone.
     pub fn run(&mut self, max_cycles: u64) -> SimReport {
-        let epoch = self.epoch_cycles;
+        let threads = self.threads.min(self.shards.len()).max(1);
+        if threads == 1 {
+            self.run_epochs(max_cycles, |shards, target| advance_group(shards, target));
+        } else {
+            let chunk = self.shards.len().div_ceil(threads);
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = (chunk..self.shards.len())
+                    .step_by(chunk)
+                    .map(|_| {
+                        let (to_worker, jobs) = mpsc::channel::<(u64, Vec<Shard>)>();
+                        let (to_coordinator, advanced) = mpsc::channel();
+                        scope.spawn(move || {
+                            for (target, mut group) in jobs {
+                                advance_group(&mut group, target);
+                                if to_coordinator.send(group).is_err() {
+                                    return;
+                                }
+                            }
+                        });
+                        (to_worker, advanced)
+                    })
+                    .collect();
+                self.run_epochs(max_cycles, |shards, target| {
+                    let mut handed = shards.drain(chunk..);
+                    for (to_worker, _) in &workers {
+                        let group = handed.by_ref().take(chunk).collect();
+                        to_worker.send((target, group)).expect("epoch worker died");
+                    }
+                    drop(handed);
+                    advance_group(shards, target);
+                    for (_, advanced) in &workers {
+                        shards.extend(advanced.recv().expect("epoch worker died"));
+                    }
+                });
+                // Dropping `workers` closes the job channels, so every
+                // worker leaves its loop before the scope joins it.
+            });
+        }
+        // Barrier-time delivery may have stepped shards (catching them up
+        // to the barrier); fold whatever that produced.
+        self.fold_telemetry();
+        self.report()
+    }
+
+    /// The epoch loop: `advance` brings every shard to the epoch's target
+    /// (or until drained), then the barrier folds telemetry, exchanges
+    /// cross-domain traffic and decides whether the run is over.
+    fn run_epochs(&mut self, max_cycles: u64, mut advance: impl FnMut(&mut Vec<Shard>, u64)) {
         let mut target = 0u64;
         loop {
-            target = (target + epoch).min(max_cycles);
-            self.advance_all(target);
+            target = (target + self.epoch_cycles).min(max_cycles);
+            advance(&mut self.shards, target);
             self.fold_telemetry();
             let moved = self.exchange(target);
             self.epochs.inc();
@@ -315,10 +386,6 @@ impl ParallelSim {
                 break;
             }
         }
-        // Barrier-time delivery may have stepped shards (catching them up
-        // to the barrier); fold whatever that produced.
-        self.fold_telemetry();
-        self.report()
     }
 
     /// The merged report as of the current state (what [`ParallelSim::run`]
@@ -336,35 +403,6 @@ impl ParallelSim {
             merged.masters.extend(r.masters);
         }
         merged
-    }
-
-    /// Advances every shard to `target` cycles (or until drained),
-    /// partitioned across worker threads. The partition is irrelevant to
-    /// results — shards are disjoint — so only the clamped thread count's
-    /// wall clock differs.
-    fn advance_all(&mut self, target: u64) {
-        fn advance(shard: &mut Shard, target: u64) {
-            while shard.sim.cycle() < target && !shard.sim.all_done() {
-                shard.sim.step();
-            }
-        }
-        let threads = self.threads.min(self.shards.len()).max(1);
-        if threads == 1 {
-            for shard in &mut self.shards {
-                advance(shard, target);
-            }
-        } else {
-            let chunk = self.shards.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for shards in self.shards.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        for shard in shards {
-                            advance(shard, target);
-                        }
-                    });
-                }
-            });
-        }
     }
 
     /// Folds each shard's telemetry delta since the previous barrier into
@@ -594,6 +632,42 @@ mod tests {
         let report = psim.run(200);
         assert!(!report.completed);
         assert_eq!(report.cycles, 200);
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch worker died")]
+    fn a_panicking_worker_fails_the_run_instead_of_hanging_it() {
+        struct Explodes;
+        impl AccessPolicy for Explodes {
+            fn decide(
+                &mut self,
+                _: siopmp::ids::DeviceId,
+                _: siopmp::request::AccessKind,
+                _: u64,
+                _: u64,
+            ) -> crate::policy::PolicyVerdict {
+                panic!("policy fault");
+            }
+        }
+        let mut psim = ParallelSim::new(64, 2);
+        psim.add_domain(
+            DomainSpec::for_policy(AllowAll).with_master(MasterProgram::uniform(
+                1,
+                BurstKind::Read,
+                0x0,
+                64,
+            )),
+        );
+        // The second shard runs on the worker thread.
+        psim.add_domain(
+            DomainSpec::for_policy(Explodes).with_master(MasterProgram::uniform(
+                2,
+                BurstKind::Read,
+                0x0,
+                1,
+            )),
+        );
+        psim.run(100_000);
     }
 
     #[test]

@@ -31,6 +31,7 @@ use crate::policy::{AccessPolicy, PolicyVerdict};
 use crate::report::{MasterReport, SimReport};
 use crate::trace::{TraceBuffer, TraceEvent, TraceKind};
 use siopmp::ids::DeviceId;
+use siopmp::request::AccessKind;
 use siopmp::telemetry::{Counter, Histogram, Telemetry};
 
 /// Cycles a master pauses after its device resets mid-DMA before it may
@@ -107,6 +108,10 @@ pub struct DecisionRecord {
 
 #[derive(Debug)]
 struct Flight {
+    /// Issue-order sequence number, unique per simulator. The flight
+    /// table stays sorted by it, and the arbiters' round-robin pointers
+    /// name flights by it, so pruning resolved flights moves no pointer.
+    id: u64,
     master: usize,
     req: BurstRequest,
     kind: BurstKind,
@@ -171,11 +176,19 @@ pub struct BusSim {
     config: BusConfig,
     policy: Box<dyn AccessPolicy>,
     masters: Vec<MasterState>,
+    /// Live flights in issue order, plus any resolved since the last
+    /// step ended (pruned there).
     flights: Vec<Flight>,
+    /// Flights ever issued: the next flight's `id`.
+    flights_ever: u64,
+    /// Whether `flights` holds a resolved flight awaiting pruning.
+    resolved_pending: bool,
+    /// Positions in `flights` of the burst owning each channel.
     a_owner: Option<usize>,
     d_owner: Option<usize>,
-    rr_a: usize,
-    rr_d: usize,
+    /// Round-robin pointers: the flight id each arbiter scans from.
+    rr_a: u64,
+    rr_d: u64,
     cycle: u64,
     trace: Option<TraceBuffer>,
     telemetry: Telemetry,
@@ -187,9 +200,10 @@ pub struct BusSim {
     a_stall_until: u64,
     control_faults: usize,
     decision_log: Option<Vec<DecisionRecord>>,
-    /// Reused per-cycle buffer for the two-phase (select, then batch-decide)
-    /// issue path; always empty between steps.
+    /// Reused per-cycle buffers for the two-phase (select, then
+    /// batch-decide) issue path; always empty between steps.
     issue_scratch: Vec<(usize, BurstRequest, u32)>,
+    decide_scratch: Vec<(DeviceId, AccessKind, u64, u64)>,
     /// Addresses this simulator owns; `Ok` completions outside it are
     /// captured as egress for a parallel coordinator. `None` (the serial
     /// default) captures nothing.
@@ -224,6 +238,8 @@ impl BusSim {
             policy,
             masters: Vec::new(),
             flights: Vec::new(),
+            flights_ever: 0,
+            resolved_pending: false,
             a_owner: None,
             d_owner: None,
             rr_a: 0,
@@ -240,26 +256,11 @@ impl BusSim {
             control_faults: 0,
             decision_log: None,
             issue_scratch: Vec::new(),
+            decide_scratch: Vec::new(),
             home_window: None,
             egress: Vec::new(),
             egress_seq: 0,
         }
-    }
-
-    /// Creates a simulator with a private telemetry registry.
-    #[deprecated(note = "use `BusSim::build(config, policy, None)`")]
-    pub fn new(config: BusConfig, policy: Box<dyn AccessPolicy>) -> Self {
-        Self::build(config, policy, None)
-    }
-
-    /// Creates a simulator sharing the caller's `telemetry` registry.
-    #[deprecated(note = "use `BusSim::build(config, policy, telemetry)`")]
-    pub fn with_telemetry(
-        config: BusConfig,
-        policy: Box<dyn AccessPolicy>,
-        telemetry: Telemetry,
-    ) -> Self {
-        Self::build(config, policy, telemetry)
     }
 
     /// The simulator's telemetry registry.
@@ -455,6 +456,39 @@ impl BusSim {
         self.memory_schedule(t);
         self.channel_d_beat(t);
         self.cycle += 1;
+        // Pruning waits for the step's end: fault handlers and the forced
+        // abort resolve flights while iterating the table by position.
+        if self.resolved_pending {
+            self.prune_resolved();
+        }
+    }
+
+    /// Drops resolved flights, keeping issue order, so every per-cycle
+    /// scan costs O(bursts in flight) rather than O(bursts ever issued).
+    /// Channel owners are never resolved (resolution releases them), so
+    /// they survive and only their positions move.
+    fn prune_resolved(&mut self) {
+        let a_owner = self.a_owner.map(|idx| self.flights[idx].id);
+        let d_owner = self.d_owner.map(|idx| self.flights[idx].id);
+        self.flights.retain(|f| f.done.is_none());
+        let position = |id: u64| self.flights.partition_point(|f| f.id < id);
+        self.a_owner = a_owner.map(position);
+        self.d_owner = d_owner.map(position);
+        self.resolved_pending = false;
+    }
+
+    /// Round-robin grant: the first flight at or after id `rr` in issue
+    /// order (wrapping to the oldest) that `wants` the channel. Returns
+    /// its position and the pointer for the next scan, which starts just
+    /// past the granted flight, or at the oldest when that was the
+    /// newest flight ever issued.
+    fn round_robin(&self, rr: u64, wants: impl Fn(&Flight) -> bool) -> Option<(usize, u64)> {
+        let start = self.flights.partition_point(|f| f.id < rr);
+        let idx = (start..self.flights.len())
+            .chain(0..start)
+            .find(|&idx| wants(&self.flights[idx]))?;
+        let next = self.flights[idx].id + 1;
+        Some((idx, if next == self.flights_ever { 0 } else { next }))
     }
 
     /// Applies every fault-plan event scheduled at or before `t`.
@@ -605,11 +639,15 @@ impl BusSim {
             return;
         }
         let len = self.config.burst_bytes();
-        let reqs: Vec<(DeviceId, siopmp::request::AccessKind, u64, u64)> = batch
-            .iter()
-            .map(|&(_, burst, _)| (burst.device, burst.kind.access(), burst.addr, len))
-            .collect();
+        let mut reqs = std::mem::take(&mut self.decide_scratch);
+        reqs.extend(
+            batch
+                .iter()
+                .map(|&(_, burst, _)| (burst.device, burst.kind.access(), burst.addr, len)),
+        );
         let verdicts = self.policy.decide_batch(&reqs);
+        reqs.clear();
+        self.decide_scratch = reqs;
         debug_assert_eq!(verdicts.len(), batch.len());
         for (&(mi, burst, attempt), &verdict) in batch.iter().zip(&verdicts) {
             let (req_total, resp_total) = match burst.kind {
@@ -641,6 +679,7 @@ impl BusSim {
                 log.len() - 1
             });
             self.flights.push(Flight {
+                id: self.flights_ever,
                 master: mi,
                 req: burst,
                 kind: burst.kind,
@@ -658,6 +697,7 @@ impl BusSim {
                 decision,
                 done: None,
             });
+            self.flights_ever += 1;
         }
         batch.clear();
         self.issue_scratch = batch;
@@ -677,14 +717,9 @@ impl BusSim {
             }
         }
         if self.a_owner.is_none() {
-            let n = self.flights.len();
-            for off in 0..n {
-                let idx = (self.rr_a + off) % n.max(1);
-                if idx < n && wants_a(&self.flights[idx]) {
-                    self.a_owner = Some(idx);
-                    self.rr_a = (idx + 1) % n.max(1);
-                    break;
-                }
+            if let Some((idx, rr)) = self.round_robin(self.rr_a, wants_a) {
+                self.a_owner = Some(idx);
+                self.rr_a = rr;
             }
         }
         let Some(idx) = self.a_owner else { return };
@@ -764,14 +799,9 @@ impl BusSim {
             }
         }
         if self.d_owner.is_none() {
-            let n = self.flights.len();
-            for off in 0..n {
-                let idx = (self.rr_d + off) % n.max(1);
-                if idx < n && ready_d(&self.flights[idx]) {
-                    self.d_owner = Some(idx);
-                    self.rr_d = (idx + 1) % n.max(1);
-                    break;
-                }
+            if let Some((idx, rr)) = self.round_robin(self.rr_d, ready_d) {
+                self.d_owner = Some(idx);
+                self.rr_d = rr;
             }
         }
         let Some(idx) = self.d_owner else { return };
@@ -812,6 +842,7 @@ impl BusSim {
         let master = f.master;
         let burst_kind = f.kind;
         f.done = Some(status);
+        self.resolved_pending = true;
         if self.a_owner == Some(idx) {
             self.a_owner = None;
         }
@@ -1390,6 +1421,56 @@ mod tests {
         assert_eq!(last.generation, 1);
         assert_eq!(last.verdict, PolicyVerdict::Allowed);
         assert_eq!(last.status, Some(BurstStatus::Ok));
+    }
+
+    #[test]
+    fn flight_table_holds_only_live_bursts() {
+        use crate::faults::{FaultPlan, FaultPlanConfig};
+        use crate::master::RetryPolicy;
+
+        let mut sim = BusSim::build(
+            BusConfig::default(),
+            Box::new(DenyRange {
+                base: 0x3000,
+                len: 0x1000,
+            }),
+            None,
+        );
+        let mut bound = 0;
+        for m in 0..6u64 {
+            let kind = if m % 2 == 0 {
+                BurstKind::Read
+            } else {
+                BurstKind::Write
+            };
+            let outstanding = 2 + m as usize % 3;
+            bound += outstanding;
+            sim.add_master(
+                MasterProgram::streaming(m + 1, kind, 0x1000 * (m + 1), 64, 1700)
+                    .with_outstanding(outstanding)
+                    .with_retry(RetryPolicy::bounded(2, 2)),
+            );
+        }
+        let config = FaultPlanConfig {
+            horizon: 50_000,
+            budget: 64,
+            masters: 6,
+            ..FaultPlanConfig::default()
+        };
+        sim.set_fault_plan(FaultPlan::generate(7, &config));
+        while !sim.all_done() {
+            sim.step();
+            assert!(
+                sim.flights.len() <= bound,
+                "cycle {}: {} flights in the table, at most {bound} can be live",
+                sim.cycle(),
+                sim.flights.len()
+            );
+        }
+        let report = sim.report();
+        let completed: usize = report.masters.iter().map(|m| m.bursts_completed).sum();
+        assert_eq!(completed, 10_200);
+        assert!(report.masters.iter().any(|m| m.bursts_bus_error > 0));
     }
 
     #[test]
